@@ -32,12 +32,12 @@ def kuhn_wattenhofer_coloring(
     delta = max_degree(graph)
     palette = Palette.of_size(max(1, 2 * delta - 1))
     lists = uniform_lists(graph, palette)
-    coloring = PartialEdgeColoring(graph, lists)
+    adjacency = line_graph_adjacency(graph)
+    coloring = PartialEdgeColoring(graph, lists, adjacency=adjacency)
 
     classes, class_palette, linial_rounds = compute_initial_edge_coloring(
-        graph, seed=seed
+        graph, seed=seed, adjacency=adjacency
     )
-    adjacency = line_graph_adjacency(graph)
     kw_rounds = 0
     if adjacency:
         reduction = kuhn_wattenhofer_reduction(adjacency, classes)

@@ -20,7 +20,7 @@ improper assignments outright.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import networkx as nx
 
@@ -39,6 +39,10 @@ class PartialEdgeColoring:
         The host graph.
     lists:
         The instance's color lists (must cover every edge of ``graph``).
+    adjacency:
+        The line-graph adjacency of ``graph``, if the caller already
+        built it with :func:`~repro.graphs.line_graph.line_graph_adjacency`
+        (shared, never mutated); built here otherwise.
 
     Notes
     -----
@@ -49,10 +53,18 @@ class PartialEdgeColoring:
     are validating.
     """
 
-    def __init__(self, graph: nx.Graph, lists: ListAssignment) -> None:
+    def __init__(
+        self,
+        graph: nx.Graph,
+        lists: ListAssignment,
+        *,
+        adjacency: Mapping[Edge, list[Edge]] | None = None,
+    ) -> None:
         self._graph = graph
         self._lists = lists
-        self._adjacency = line_graph_adjacency(graph)
+        self._adjacency = (
+            line_graph_adjacency(graph) if adjacency is None else adjacency
+        )
         missing = [e for e in self._adjacency if e not in lists]
         if missing:
             raise InvalidInstanceError(

@@ -5,6 +5,14 @@ These functions re-derive everything from the graph: they do not trust
 algorithm's bookkeeping.  Every test and every benchmark funnels its
 outputs through this module, realising the DESIGN.md hard rule that
 correctness is checked independently of round accounting.
+
+Which check is independent: the properness checks accept an optional
+precomputed line-graph ``adjacency``.  The paper solver passes its own
+(:func:`repro.core.solver.solve_list_edge_coloring` checks its result
+against the adjacency it colored with), so that check reads the
+solver's structure.  The executor's validation of every finished run
+(:func:`repro.api.runner.run`) passes none and re-derives the
+adjacency from the graph; that is the independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +29,11 @@ from repro.graphs.line_graph import line_graph_adjacency
 
 
 def check_proper_edge_coloring(
-    graph: nx.Graph, coloring: Mapping[Edge, int], *, require_total: bool = True
+    graph: nx.Graph,
+    coloring: Mapping[Edge, int],
+    *,
+    require_total: bool = True,
+    adjacency: Mapping[Edge, list[Edge]] | None = None,
 ) -> None:
     """Raise unless ``coloring`` is a proper (partial) edge coloring.
 
@@ -35,8 +47,14 @@ def check_proper_edge_coloring(
         When ``True`` (default) every edge of the graph must be
         colored; when ``False`` the mapping may cover a subset, but
         properness is still enforced on the covered part.
+    adjacency:
+        The line-graph adjacency of ``graph``, if the caller already
+        holds it; re-derived from ``graph`` when ``None``, which keeps
+        the check independent of the caller (module docstring).
     """
-    edges = edge_set(graph)
+    if adjacency is None:
+        adjacency = line_graph_adjacency(graph)
+    edges = list(adjacency)
     edge_lookup = set(edges)
     for edge in coloring:
         if edge not in edge_lookup:
@@ -49,7 +67,6 @@ def check_proper_edge_coloring(
             raise ColoringValidationError(
                 f"{len(missing)} edges are uncolored, e.g. {missing[:3]!r}"
             )
-    adjacency = line_graph_adjacency(graph)
     for edge, neighbors in adjacency.items():
         if edge not in coloring:
             continue
@@ -68,9 +85,15 @@ def check_list_edge_coloring(
     coloring: Mapping[Edge, int],
     *,
     require_total: bool = True,
+    adjacency: Mapping[Edge, list[Edge]] | None = None,
 ) -> None:
-    """Raise unless ``coloring`` is proper *and* respects the lists."""
-    check_proper_edge_coloring(graph, coloring, require_total=require_total)
+    """Raise unless ``coloring`` is proper *and* respects the lists.
+
+    ``adjacency`` is passed on to :func:`check_proper_edge_coloring`.
+    """
+    check_proper_edge_coloring(
+        graph, coloring, require_total=require_total, adjacency=adjacency
+    )
     for edge, color in coloring.items():
         if color not in lists.list_of(edge):
             raise ColoringValidationError(

@@ -49,7 +49,7 @@ from repro.core.ledger import RoundLedger
 from repro.core.params import ParameterPolicy, scaled_policy
 from repro.core.slack_reduction import SlackLoopStats, select_active_edges
 from repro.core.space_reduction import reduce_color_space
-from repro.graphs.edges import Edge, edge_set
+from repro.graphs.edges import Edge
 from repro.graphs.line_graph import line_graph_adjacency
 from repro.graphs.properties import assign_unique_ids, max_degree
 from repro.model.edge_network import edge_identifier
@@ -78,6 +78,10 @@ class RecursiveSolver:
     Auxiliary subspace-index assignments spawn child solvers that share
     the policy and the ledger but own their instance's graph and
     master coloring.
+
+    ``adjacency`` is the instance's line-graph adjacency if the caller
+    already built it; otherwise it is built here, once, and shared with
+    the master coloring.
     """
 
     def __init__(
@@ -89,11 +93,14 @@ class RecursiveSolver:
         ledger: RoundLedger,
         *,
         depth: int = 0,
+        adjacency: Mapping[Edge, list[Edge]] | None = None,
     ) -> None:
+        if adjacency is None:
+            adjacency = line_graph_adjacency(graph)
         self.graph = graph
         self.lists = lists
-        self.master = PartialEdgeColoring(graph, lists)
-        self.adjacency = line_graph_adjacency(graph)
+        self.master = PartialEdgeColoring(graph, lists, adjacency=adjacency)
+        self.adjacency = adjacency
         self.initial = dict(initial_coloring)
         self.policy = policy
         self.ledger = ledger
@@ -393,7 +400,7 @@ class RecursiveSolver:
     def solve_internal(self, depth: int | None = None) -> dict[Edge, int]:
         """Solve this solver's whole instance; returns edge -> color."""
         start_depth = self.depth if depth is None else depth
-        all_edges = edge_set(self.graph)
+        all_edges = list(self.adjacency)
         work_lists = {edge: self.lists.list_of(edge) for edge in all_edges}
         self._solve_slack1(all_edges, work_lists, self.lists.palette, start_depth)
 
@@ -426,17 +433,20 @@ def compute_initial_edge_coloring(
     *,
     seed: int | None = None,
     ledger: RoundLedger | None = None,
+    adjacency: Mapping[Edge, list[Edge]] | None = None,
 ) -> tuple[dict[Edge, int], int, int]:
     """Compute the initial ``O(Δ̄²)``-edge coloring (Section 4.3, step 1).
 
     Runs the Linial reduction on the line graph, seeded by edge IDs
     derived from node IDs.  Returns ``(coloring, palette_size, rounds)``
     and charges the rounds to ``ledger`` if given.  Round count is
-    ``O(log* n)``.
+    ``O(log* n)``.  ``adjacency`` is the graph's line-graph adjacency
+    if the caller already built it.
     """
     ids = assign_unique_ids(graph, seed=seed)
     max_id = max(ids.values(), default=0)
-    adjacency = line_graph_adjacency(graph)
+    if adjacency is None:
+        adjacency = line_graph_adjacency(graph)
     edge_ids = {
         edge: edge_identifier(edge, ids, max_id) for edge in adjacency
     }
@@ -475,16 +485,19 @@ def solve_list_edge_coloring(
     Returns
     -------
     SolveResult
-        With a coloring already validated against the instance.
+        With a coloring already validated against the instance.  The
+        line graph is built once here and shared by every stage, this
+        check included; the executor's validation re-derives it.
     """
     lists.validate_deg_plus_one(graph)
     if policy is None:
         policy = scaled_policy()
     ledger = RoundLedger()
+    adjacency = line_graph_adjacency(graph)
 
     if initial_coloring is None:
         initial_coloring, initial_palette, _rounds = compute_initial_edge_coloring(
-            graph, seed=seed, ledger=ledger
+            graph, seed=seed, ledger=ledger, adjacency=adjacency
         )
     elif initial_palette is None:
         initial_palette = (
@@ -492,10 +505,11 @@ def solve_list_edge_coloring(
         )
 
     solver = RecursiveSolver(
-        graph, lists, initial_coloring, policy, ledger, depth=0
+        graph, lists, initial_coloring, policy, ledger, depth=0,
+        adjacency=adjacency,
     )
     coloring = solver.solve_internal()
-    check_list_edge_coloring(graph, lists, coloring)
+    check_list_edge_coloring(graph, lists, coloring, adjacency=adjacency)
 
     stats: dict[str, object] = dict(ledger.counters())
     stats["dbar_trajectory"] = list(solver.slack_stats.dbar_trajectory)

@@ -1,7 +1,13 @@
 """Canonical edge representation.
 
 Everywhere in this library an undirected edge between nodes ``u`` and
-``v`` is represented by the tuple ``(min(u, v), max(u, v))``.  Using a
+``v`` is represented by the tuple of its endpoints in one fixed total
+order over node labels: by type name, then by ``repr`` (see
+:func:`edge_key`).  This is *not* ``(min(u, v), max(u, v))``: integers
+compare by their decimal text, so ``edge_key(9, 10) == (10, 9)``.  The
+order is defined for any mix of labels (ints, strings, the tuples of
+virtual nodes), and it is baked into every coloring key and so into
+every result fingerprint, so it must not change.  Using a
 single canonical form keeps dictionaries keyed by edges consistent
 across modules (colorings, lists, defect maps, ledgers) and avoids the
 classic ``(u, v)`` vs ``(v, u)`` bug family entirely.
@@ -15,15 +21,21 @@ import networkx as nx
 
 from repro.errors import InvalidInstanceError
 
-#: Type alias used across the library: a canonical (sorted) node pair.
+#: Type alias used across the library: a canonical node pair (see edge_key).
 Edge = tuple[Hashable, Hashable]
 
 
 def edge_key(u: Hashable, v: Hashable) -> Edge:
     """Return the canonical representation of the edge ``{u, v}``.
 
+    The endpoints are ordered by ``(type name, repr)``, not by value:
+
     >>> edge_key(5, 2)
     (2, 5)
+    >>> edge_key(9, 10)
+    (10, 9)
+    >>> edge_key("b", 1)
+    (1, 'b')
     """
     if u == v:
         raise InvalidInstanceError(f"self-loop edge ({u!r}, {v!r}) is not allowed")

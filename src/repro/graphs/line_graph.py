@@ -44,21 +44,43 @@ def max_edge_degree(graph: nx.Graph) -> int:
 def line_graph_adjacency(graph: nx.Graph) -> dict[Edge, list[Edge]]:
     """Return the adjacency of the line graph over canonical edges.
 
-    Two edges are adjacent iff they share an endpoint.  Neighbor lists
-    are sorted, giving deterministic iteration to the simulated
-    algorithms that run *on* the line graph (Linial's coloring, the
-    greedy class sweep).
+    Two edges are adjacent iff they share an endpoint.
+
+    Order contract: the keys come in :func:`~repro.graphs.edges.edge_set`
+    order and every neighbor list is sorted by ``repr``.  This gives
+    deterministic iteration to the simulated algorithms that run *on*
+    the line graph (Linial's coloring, the greedy class sweep), and it
+    is baked into every result fingerprint.
+
+    The paper path builds this once per (sub-)instance and hands the
+    same dict to every consumer (:func:`repro.core.solver.solve_list_edge_coloring`
+    threads it through the initial coloring, the solver, its
+    :class:`~repro.coloring.edge_coloring.PartialEdgeColoring` and its
+    own final check).  The result is therefore shared: treat it as
+    read-only.  The executor's validation of a finished run builds its
+    own copy from the graph, so that check stays independent of the
+    solver's bookkeeping (see :mod:`repro.coloring.verify`).
     """
-    adjacency: dict[Edge, list[Edge]] = {}
-    for edge in edge_set(graph):
+    edges = edge_set(graph)
+    rank = {edge: index for index, edge in enumerate(sorted(edges, key=repr))}
+    by_repr = rank.__getitem__
+    # One row of incident edges per node, each row in repr order.
+    incident: dict[Hashable, list[Edge]] = {}
+    for edge in rank:
         u, v = edge
-        neighbors = set()
-        for endpoint in (u, v):
-            for other in graph.neighbors(endpoint):
-                candidate = edge_key(endpoint, other)
-                if candidate != edge:
-                    neighbors.add(candidate)
-        adjacency[edge] = sorted(neighbors, key=repr)
+        incident.setdefault(u, []).append(edge)
+        incident.setdefault(v, []).append(edge)
+    adjacency: dict[Edge, list[Edge]] = {}
+    for edge in edges:
+        u, v = edge
+        # In a simple graph the two rows share only ``edge`` itself, so
+        # their concatenation minus ``edge`` is the union; sorting two
+        # sorted runs is a linear merge.
+        neighbors = incident[u] + incident[v]
+        neighbors.remove(edge)
+        neighbors.remove(edge)
+        neighbors.sort(key=by_repr)
+        adjacency[edge] = neighbors
     return adjacency
 
 

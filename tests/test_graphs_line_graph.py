@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidInstanceError
 from repro.graphs.edges import edge_key, edge_set
+from repro.graphs.families import build_family, family_names
 from repro.graphs.generators import random_regular
 from repro.graphs.line_graph import (
     conflicting_pairs,
@@ -72,6 +73,76 @@ class TestLineGraphAdjacency:
         g = nx.cycle_graph(5)
         lg = line_graph(g)
         assert set(lg.nodes()) == set(edge_set(g))
+
+
+def reference_line_graph_adjacency(graph):
+    """The original per-edge builder, kept here as the equivalence oracle."""
+    adjacency = {}
+    for edge in edge_set(graph):
+        u, v = edge
+        neighbors = set()
+        for endpoint in (u, v):
+            for other in graph.neighbors(endpoint):
+                candidate = edge_key(endpoint, other)
+                if candidate != edge:
+                    neighbors.add(candidate)
+        adjacency[edge] = sorted(neighbors, key=repr)
+    return adjacency
+
+
+def assert_same_adjacency(graph):
+    ours = line_graph_adjacency(graph)
+    reference = reference_line_graph_adjacency(graph)
+    assert list(ours) == list(reference)
+    for edge, neighbors in reference.items():
+        assert ours[edge] == neighbors, edge
+
+
+class TestLineGraphAdjacencyEquivalence:
+    """The builder matches the reference loop in key order and lists."""
+
+    @pytest.mark.parametrize("family", family_names())
+    @pytest.mark.parametrize("size", [3, 6])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_family(self, family, size, seed):
+        assert_same_adjacency(build_family(family, size, seed))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b"), ("b", 1), (1, 2), (2, "a")],
+            [(9, 10), (10, 11), (9, 11), (100, 9), (2, 10)],
+            [(("v", 1, 0), ("v", 2, 0)), (("v", 2, 0), 3), (3, "x"), ("x", ("v", 1, 0))],
+            [(0, "0"), ("0", (0,)), ((0,), 1), (1, "1"), ("1", 0)],
+        ],
+        ids=["int-str", "int-widths", "tuple-int-str", "lookalikes"],
+    )
+    def test_mixed_labels(self, edges):
+        assert_same_adjacency(nx.Graph(edges))
+
+    def test_empty_graph(self):
+        assert line_graph_adjacency(nx.Graph()) == {}
+        assert_same_adjacency(nx.Graph())
+
+    def test_edgeless_graph(self):
+        g = nx.empty_graph(5)
+        assert line_graph_adjacency(g) == {}
+        assert_same_adjacency(g)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 12), st.sampled_from("abc")),
+                st.one_of(st.integers(0, 12), st.sampled_from("abc")),
+            ),
+            max_size=30,
+        )
+    )
+    def test_random_label_mixes(self, pairs):
+        g = nx.Graph()
+        g.add_edges_from((u, v) for u, v in pairs if u != v)
+        assert_same_adjacency(g)
 
 
 class TestInducedEdgeDegrees:
