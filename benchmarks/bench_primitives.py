@@ -7,12 +7,20 @@ Paper claims checked:
 3. Kuhn-Wattenhofer: O(Δ̄ log(m/Δ̄)) — exponentially fewer rounds than
    the trivial one-color-per-round reduction;
 4. the message-passing Linial (real simulator messages) matches the
-   functional form's round count.
+   functional form's round count, also on the line graph of the
+   ``paper_dense`` d=48 instance, where the functional form's wall time
+   is recorded.
 """
+
+import time
+
+import pytest
 
 from repro.analysis.tables import format_table
 from repro.graphs.generators import random_regular
+from repro.graphs.line_graph import line_graph_adjacency
 from repro.graphs.properties import assign_unique_ids
+from repro.model.edge_network import line_graph_network
 from repro.model.network import Network
 from repro.model.scheduler import Scheduler
 from repro.primitives.chain_coloring import three_color_chain
@@ -20,7 +28,7 @@ from repro.primitives.color_reduction import (
     kuhn_wattenhofer_reduction,
     one_color_per_round_reduction,
 )
-from repro.primitives.linial import linial_reduce
+from repro.primitives.linial import linial_fixpoint_palette, linial_reduce
 from repro.primitives.node_algorithms import LinialColorReductionAlgorithm
 from repro.utils.chains import Chain
 from repro.utils.logstar import log_star
@@ -69,6 +77,52 @@ def test_prim_linial_functional_vs_simulated(benchmark):
         title="PRIM: Linial reduction — functional vs simulated",
     ))
     benchmark(lambda: linial_reduce(adjacency, network.ids()))
+
+
+@pytest.mark.slow
+def test_prim_linial_paper_dense_line_graph(benchmark):
+    """Linial on the line graph of ``random_regular(48, 192)``: 4608
+    items of degree 94, the largest initial coloring of ``paper_dense``.
+
+    The reduction stops once the smallest valid ``q`` no longer shrinks
+    the palette.  Here that is ``q = 191 = next_prime(2·94 + 1)`` with
+    ``k = 2``, so the palette it reaches is bounded by
+    ``linial_fixpoint_palette(2·degree)``; ``linial_fixpoint_palette(
+    degree)`` (97² = 9409) is not reached on this instance.
+    """
+    graph = random_regular(48, 192, seed=1)
+    adjacency = line_graph_adjacency(graph)
+    network = line_graph_network(graph, assign_unique_ids(graph, seed=1))
+    ids = network.ids()
+    degree = max(len(neighbors) for neighbors in adjacency.values())
+
+    start = time.perf_counter()
+    functional = linial_reduce(adjacency, ids)
+    wall_s = time.perf_counter() - start
+    for item, neighbors in adjacency.items():
+        for other in neighbors:
+            assert functional.colors[item] != functional.colors[other]
+    assert functional.palette_size <= linial_fixpoint_palette(2 * degree)
+
+    simulated = Scheduler(network).run(
+        LinialColorReductionAlgorithm(id_space=network.max_id())
+    )
+    assert abs(simulated.rounds - functional.rounds) <= 1
+    report(format_table(
+        ["form", "items", "degree", "rounds", "palette", "wall s"],
+        [
+            ["functional", len(adjacency), degree, functional.rounds,
+             functional.palette_size, f"{wall_s:.3f}"],
+            ["message-passing", len(adjacency), degree, simulated.rounds,
+             max(simulated.outputs.values()) + 1, "-"],
+        ],
+        title=(
+            "PRIM: Linial on the paper_dense d=48 line graph "
+            f"(fixpoint_palette(d)={linial_fixpoint_palette(degree)}, "
+            f"(2d)={linial_fixpoint_palette(2 * degree)})"
+        ),
+    ))
+    benchmark.pedantic(lambda: linial_reduce(adjacency, ids), rounds=3)
 
 
 def test_prim_kw_vs_trivial_reduction(benchmark):
